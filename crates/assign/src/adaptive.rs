@@ -7,7 +7,7 @@
 //! reports: the total number of assigned tasks and the CPU time spent planning
 //! at each time instance.
 
-use crate::cache::{DirtySet, IncrementalContext};
+use crate::cache::IncrementalContext;
 use crate::config::AssignConfig;
 use crate::forecast::{ForecastProvider, ForecastStats, StaticForecast};
 use crate::planner::{Planner, SearchMode};
@@ -174,8 +174,8 @@ pub struct AdaptiveRunner {
     pub policy: PolicyKind,
     /// Inference snapshot of the trained TVF (required by
     /// [`PolicyKind::DataWa`]; set through [`AdaptiveRunner::with_tvf`]).
-    /// Stored as a snapshot so the runner is `Sync` and shard states that
-    /// borrow it can be stepped on a thread pool.
+    /// Stored as a thread-safe snapshot so the planner pool's threads can
+    /// share it.
     pub tvf: Option<TvfInference>,
     /// How far ahead of `now` predicted tasks are allowed to influence
     /// planning.
@@ -350,15 +350,7 @@ impl AdaptiveRunner {
     /// every planning instant. Wrap a precomputed slice in
     /// [`StaticForecast`] to reproduce the pre-redesign fixed-oracle
     /// behaviour bit for bit.
-    ///
-    /// The state is generic over the provider so `Send` providers yield
-    /// `Send` states (the sharded engine steps those on a thread pool);
-    /// `F = dyn ForecastProvider` (the default) erases the type for drivers
-    /// that do not care.
-    pub fn start<'a, F: ForecastProvider + ?Sized>(
-        &'a self,
-        forecast: &'a mut F,
-    ) -> RunnerState<'a, F> {
+    pub fn start<'a>(&'a self, forecast: &'a mut dyn ForecastProvider) -> RunnerState<'a> {
         RunnerState {
             runner: self,
             forecast,
@@ -373,7 +365,6 @@ impl AdaptiveRunner {
             dispatch_log: Vec::new(),
             outcome: RunOutcome::default(),
             metrics: AssignMetrics::register(&self.obs),
-            dirty: DirtySet::default(),
         }
     }
 
@@ -467,9 +458,9 @@ enum PlanningEntry {
 ///   skip them: the views also prune lazily);
 /// * **time instances** — [`RunnerState::step`], which optionally re-plans
 ///   (the batched-replan entry point) and then dispatches idle workers.
-pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider + 'a> {
+pub struct RunnerState<'a> {
     runner: &'a AdaptiveRunner,
-    forecast: &'a mut F,
+    forecast: &'a mut dyn ForecastProvider,
     planner: Planner,
     workers: WorkerStore,
     tasks: TaskStore,
@@ -481,14 +472,9 @@ pub struct RunnerState<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider +
     dispatch_log: Vec<DispatchRecord>,
     outcome: RunOutcome,
     metrics: AssignMetrics,
-    /// Events recorded since the last planning instant (see
-    /// [`DirtySet`]): the diagnostic view of *why* the next incremental
-    /// plan will recompute whatever it recomputes. Cleared after every
-    /// planning call.
-    dirty: DirtySet,
 }
 
-impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
+impl RunnerState<'_> {
     /// Counts one arrival event in the outcome (drivers call this once per
     /// worker/task arrival so [`RunOutcome::events`] matches the legacy loop).
     #[inline]
@@ -497,8 +483,7 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     }
 
     /// Number of candidate open tasks currently tracked by the incremental
-    /// view (may include lazily prunable entries). The sharded engine uses
-    /// this as the demand signal when handing boundary workers to a shard.
+    /// view (may include lazily prunable entries).
     #[inline]
     pub fn open_candidates(&self) -> usize {
         self.open_view.len()
@@ -528,13 +513,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         std::mem::take(&mut self.dispatch_log)
     }
 
-    /// Events recorded since the last planning instant (diagnostics; see
-    /// [`DirtySet`]).
-    #[inline]
-    pub fn dirty_set(&self) -> &DirtySet {
-        &self.dirty
-    }
-
     /// Inserts an arriving worker and returns its dense id.
     pub fn insert_worker(&mut self, worker: Worker) -> WorkerId {
         let id = self.workers.insert(worker);
@@ -545,7 +523,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
             fixed_assigned: false,
         });
         self.available_view.insert(id);
-        self.dirty.note_worker_online(id);
         id
     }
 
@@ -557,7 +534,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
         self.forecast.observe(task.publication, &task);
         let id = self.tasks.insert(task);
         self.open_view.insert(id);
-        self.dirty.note_task_arrival(id);
         id
     }
 
@@ -571,7 +547,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// event-driven drivers when the expiration event fires). Returns whether
     /// the task was still in the view.
     pub fn expire_task(&mut self, id: TaskId) -> bool {
-        self.dirty.note_task_expiration(id);
         self.open_view.remove(id)
     }
 
@@ -585,7 +560,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// there), which is why this is a flag and not the default behaviour of
     /// going offline.
     pub fn retire_worker(&mut self, id: WorkerId, release_plan: bool) {
-        self.dirty.note_worker_offline(id);
         self.available_view.remove(id);
         self.workers.get_mut(id).mode = WorkerMode::Offline;
         if release_plan {
@@ -602,9 +576,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
     /// still-servable task of its plan.
     pub fn step(&mut self, now: Timestamp, replan: bool) {
         let policy = self.runner.policy;
-        if replan {
-            self.dirty.note_replan_tick();
-        }
 
         // Idle, available workers at this instant (ascending id order, like
         // the full scans the incremental views replace).
@@ -663,7 +634,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                 // across instants). `open_at` returns ascending dense ids,
                 // which is the order the cache's id translation relies on.
                 let epoch = self.forecast.stats().refreshes as u64;
-                self.dirty.note_forecast_epoch(epoch);
                 let all_real = mapping.len() == open_tasks.len();
                 let ctx = if all_real {
                     debug_assert!(open_tasks.windows(2).all(|p| p[0].0 < p[1].0));
@@ -699,7 +669,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                         ctx.as_ref(),
                     )
                 };
-                self.dirty.clear();
                 self.outcome.planning_calls += 1;
                 self.outcome.total_planning_seconds += report.elapsed_seconds;
                 self.outcome.peak_partitions = self.outcome.peak_partitions.max(report.partitions);
@@ -861,8 +830,6 @@ impl<F: ForecastProvider + ?Sized> RunnerState<'_, F> {
                     *self.outcome.per_worker.entry(wid).or_insert(0) += 1;
                     self.runtime[wid.index()].busy_until = arrival;
                     self.workers.get_mut(wid).location = task.location;
-                    self.dirty.note_task_served(tid);
-                    self.dirty.note_worker_moved(wid);
                     self.metrics.dispatches.inc();
                     self.dispatch_log.push(DispatchRecord {
                         worker: wid,

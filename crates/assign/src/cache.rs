@@ -1,18 +1,14 @@
-//! Incremental replanning: dirty tracking and the partition plan cache.
+//! Incremental replanning: the partition plan cache.
 //!
 //! Most planning instants touch only a handful of spatial clusters — a task
 //! arrival dirties the partitions of the workers that can reach it, one
 //! worker going offline dirties only its own partition. This module gives
 //! the planner the machinery to *reuse* everything the instant did not
-//! touch, while staying bitwise identical to a full replan:
+//! touch, while staying bitwise identical to a full replan. What changed is
+//! derived from the planner's own inputs (candidate-list diff plus
+//! per-worker re-verification, below), never from driver-side event hooks,
+//! so a missed hook can never corrupt plans:
 //!
-//! * [`DirtySet`] — the event-side tracker kept by `RunnerState`: which
-//!   tasks arrived/expired/were served and which workers came online, went
-//!   offline or moved since the last planning instant, plus the forecast
-//!   epoch (the provider's refresh count). Drivers read it for diagnostics;
-//!   the dirty-fraction histogram in `datawa-obs` is fed from the planner's
-//!   own accounting, which is derived independently (see below) so a missed
-//!   hook can never corrupt plans.
 //! * [`IncrementalContext`] — what a driver hands the planner alongside a
 //!   planning call so caching is sound: the *real* task id behind every
 //!   planning-store id (valid only when the store holds no predicted
@@ -61,107 +57,6 @@ use crate::reachable::ReachableSets;
 use crate::sequences::SequenceSet;
 use datawa_core::{TaskId, TaskSequence, TaskStore, Timestamp, Worker, WorkerId, WorkerStore};
 use std::collections::HashMap;
-
-/// Everything that changed since the previous planning instant, tracked by
-/// event kind. `RunnerState` fills it from its event hooks (arrival,
-/// expiration, dispatch, online/offline, replan tick, forecast refresh) and
-/// drains it after every planning call; the sharded engine keeps one per
-/// shard automatically (each shard owns its own `RunnerState`).
-///
-/// The tracker is *diagnostic*: the planner derives its own dirty set from
-/// its actual inputs (candidate-list diff + per-worker re-verification), so
-/// plan correctness never depends on a driver calling every hook.
-#[derive(Debug, Clone, Default)]
-pub struct DirtySet {
-    /// Tasks that arrived since the last planning instant.
-    pub arrived_tasks: Vec<TaskId>,
-    /// Tasks that expired since the last planning instant.
-    pub expired_tasks: Vec<TaskId>,
-    /// Tasks dispatched (served) since the last planning instant.
-    pub served_tasks: Vec<TaskId>,
-    /// Workers that came online since the last planning instant.
-    pub online_workers: Vec<WorkerId>,
-    /// Workers that went offline since the last planning instant.
-    pub offline_workers: Vec<WorkerId>,
-    /// Workers that moved (dispatch relocates the worker to the task).
-    pub moved_workers: Vec<WorkerId>,
-    /// Replan ticks since the last planning instant.
-    pub replan_ticks: usize,
-    /// The forecast provider's refresh count — a bumped epoch invalidates
-    /// every cached fingerprint (it is hashed into all of them).
-    pub forecast_epoch: u64,
-}
-
-impl DirtySet {
-    /// Whether nothing has been recorded since the last drain (the forecast
-    /// epoch is a watermark, not an event, and does not count).
-    pub fn is_clean(&self) -> bool {
-        self.events() == 0
-    }
-
-    /// Total recorded events since the last drain.
-    pub fn events(&self) -> usize {
-        self.arrived_tasks.len()
-            + self.expired_tasks.len()
-            + self.served_tasks.len()
-            + self.online_workers.len()
-            + self.offline_workers.len()
-            + self.moved_workers.len()
-            + self.replan_ticks
-    }
-
-    /// Records a task arrival.
-    pub fn note_task_arrival(&mut self, id: TaskId) {
-        self.arrived_tasks.push(id);
-    }
-
-    /// Records a task expiration.
-    pub fn note_task_expiration(&mut self, id: TaskId) {
-        self.expired_tasks.push(id);
-    }
-
-    /// Records a task dispatch.
-    pub fn note_task_served(&mut self, id: TaskId) {
-        self.served_tasks.push(id);
-    }
-
-    /// Records a worker coming online.
-    pub fn note_worker_online(&mut self, id: WorkerId) {
-        self.online_workers.push(id);
-    }
-
-    /// Records a worker going offline.
-    pub fn note_worker_offline(&mut self, id: WorkerId) {
-        self.offline_workers.push(id);
-    }
-
-    /// Records a worker relocation (dispatch moves the worker to the task).
-    pub fn note_worker_moved(&mut self, id: WorkerId) {
-        self.moved_workers.push(id);
-    }
-
-    /// Records a replan tick.
-    pub fn note_replan_tick(&mut self) {
-        self.replan_ticks += 1;
-    }
-
-    /// Updates the forecast-epoch watermark.
-    pub fn note_forecast_epoch(&mut self, epoch: u64) {
-        self.forecast_epoch = epoch;
-    }
-
-    /// Drains the per-instant event lists (the forecast epoch persists — it
-    /// is a watermark).
-    pub fn clear(&mut self) {
-        self.arrived_tasks.clear();
-        self.expired_tasks.clear();
-        self.served_tasks.clear();
-        self.online_workers.clear();
-        self.offline_workers.clear();
-        self.moved_workers.clear();
-        self.replan_ticks = 0;
-    }
-}
 
 /// The driver-side facts that make plan caching sound for one planning call.
 ///
@@ -357,7 +252,7 @@ impl PlanCache {
                 // time feasibility is not consulted, so this can only
                 // over-report dirtiness, never miss a ranking change).
                 for &rt in &self.added {
-                    // datawa-lint: allow(unwrap-in-hot-path) -- DirtySet::added is built from the same candidate list real_ids indexes
+                    // datawa-lint: allow(unwrap-in-hot-path) -- PlanCache::added is built from the same candidate list real_ids indexes
                     let pid = planning_id(real_ids, rt).expect("added tasks are candidates");
                     let task = tasks.get(pid);
                     let d = config
@@ -583,20 +478,6 @@ fn entry_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dirty_set_counts_and_clears() {
-        let mut d = DirtySet::default();
-        assert!(d.is_clean());
-        d.note_task_arrival(TaskId(3));
-        d.note_worker_moved(WorkerId(1));
-        d.note_replan_tick();
-        d.note_forecast_epoch(2);
-        assert_eq!(d.events(), 3);
-        d.clear();
-        assert!(d.is_clean());
-        assert_eq!(d.forecast_epoch, 2, "the epoch watermark persists");
-    }
 
     #[test]
     fn fnv_is_order_sensitive_and_deterministic() {

@@ -18,14 +18,15 @@
 //! partitioned search *incremental*: work proportional to what changed,
 //! output bitwise identical to a full replan.
 //!
-//! * **Dirty-set rules** ([`DirtySet`]): every world event maps to what it
-//!   can invalidate — a task arrival dirties partitions whose workers could
+//! * **Invalidation rules**: every world event maps to what it can
+//!   invalidate — a task arrival dirties partitions whose workers could
 //!   reach the new task; an expiration/serve dirties partitions holding it;
 //!   a worker coming online, going offline, or moving dirties its partition;
 //!   a forecast refresh bumps the epoch and dirties every
-//!   prediction-influenced partition. The tracker is diagnostic: the planner
-//!   independently *verifies* every cached entry against the live stores, so
-//!   a missed hook can never corrupt a plan.
+//!   prediction-influenced partition. The planner derives all of this from
+//!   its own inputs (a candidate-list diff plus per-worker re-verification
+//!   against the live stores), not from driver-side event hooks, so no
+//!   driver can corrupt a plan by missing one.
 //! * **Fingerprint definition** ([`PlanCache`]): each partition is keyed by
 //!   an FNV-1a hash over the forecast epoch, the sorted member worker ids,
 //!   each member's position / reachable distance / availability-window
@@ -61,7 +62,7 @@ pub use adaptive::{
     AdaptiveRunner, ArrivalEvent, DispatchRecord, PolicyKind, PredictedTaskInput, RunOutcome,
     RunnerState,
 };
-pub use cache::{DirtySet, IncrementalContext, PlanCache};
+pub use cache::{IncrementalContext, PlanCache};
 pub use config::{AssignConfig, IncrementalMode};
 pub use forecast::{ForecastProvider, ForecastStats, StaticForecast};
 pub use partition::{split_cluster_tree, Partition};

@@ -70,36 +70,6 @@ where
         .collect()
 }
 
-/// Runs `f` over every item of `items` with mutable access, fanning the
-/// slice out across at most `threads` OS threads in contiguous chunks.
-///
-/// Used by the sharded stream engine to step independent per-shard runner
-/// states at a replan tick. `f` receives `(index, &mut item)`; each item is
-/// visited exactly once.
-pub fn scatter_mut<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads.min(items.len()));
-    std::thread::scope(|scope| {
-        for (c, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (offset, item) in chunk_items.iter_mut().enumerate() {
-                    f(c * chunk + offset, item);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,16 +92,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(run_indexed(8, &empty, |_, &x| x).is_empty());
         assert_eq!(run_indexed(8, &[41u32], |_, &x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn scatter_mut_visits_every_item_exactly_once() {
-        for threads in [1, 3, 16] {
-            let mut items: Vec<usize> = vec![0; 23];
-            scatter_mut(threads, &mut items, |i, slot| *slot += i + 1);
-            let expected: Vec<usize> = (0..23).map(|i| i + 1).collect();
-            assert_eq!(items, expected, "threads={threads}");
-        }
     }
 
     #[test]

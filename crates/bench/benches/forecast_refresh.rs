@@ -11,7 +11,7 @@ use datawa_core::Timestamp;
 use datawa_geo::{GridSpec, UniformGrid};
 use datawa_predict::{DdgnnPredictor, OnlineForecastConfig, OnlineForecaster, SeriesSpec};
 use datawa_sim::{SyntheticTrace, TraceSpec};
-use datawa_stream::{run_workload_forecast, EngineConfig, Workload};
+use datawa_stream::{run_workload, EngineConfig, Workload};
 use std::time::Duration;
 
 /// A trace sized so that workers + tasks ≈ `arrivals`.
@@ -62,7 +62,7 @@ fn bench_forecast_refresh(c: &mut Criterion) {
             |bench, _| {
                 bench.iter(|| {
                     let mut forecast = StaticForecast::default();
-                    let outcome = run_workload_forecast(&runner, &workload, &mut forecast, config);
+                    let outcome = run_workload(&runner, &workload, &mut forecast, config);
                     criterion::black_box(outcome.run.assigned_tasks)
                 });
             },
@@ -75,8 +75,7 @@ fn bench_forecast_refresh(c: &mut Criterion) {
                 |bench, _| {
                     bench.iter(|| {
                         let mut forecast = online_forecaster(&trace, refresh);
-                        let outcome =
-                            run_workload_forecast(&runner, &workload, &mut forecast, config);
+                        let outcome = run_workload(&runner, &workload, &mut forecast, config);
                         criterion::black_box((
                             outcome.run.assigned_tasks,
                             outcome.run.forecast.refreshes,

@@ -1,15 +1,8 @@
-//! Multi-core planning throughput: the partition-pool and shard-level
-//! parallelism introduced by the sharded planning refactor, swept over
-//! 1/2/4/8 planner threads at 10k and 100k arrival events on the
+//! Multi-core planning throughput: the partition-parallel planner (worker
+//! dependency separation searched on the planner pool, `AssignConfig::threads`)
+//! swept over 1/2/4/8 planner threads at 10k and 100k arrival events on the
 //! uniform-baseline scenario (DTA policy, time-batched re-planning so each
-//! planning instant is substantial).
-//!
-//! Two layers are measured separately:
-//!
-//! * `partition_pool/*` — one `StreamEngine`, partition-parallel planner
-//!   (`AssignConfig::threads`);
-//! * `sharded_engine/*` — four spatial shards on a `ShardedStreamEngine`,
-//!   with shard steps fanned out at every replan tick.
+//! planning instant is substantial), one `run_workload` per iteration.
 //!
 //! Throughput is reported in arrival events/sec so the speedup at each
 //! thread count can be tracked in the BENCH output PR over PR. On a
@@ -18,13 +11,9 @@
 //! against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind};
-use datawa_core::location::BoundingBox;
-use datawa_core::Location;
-use datawa_geo::{GridSpec, ShardMap, UniformGrid};
+use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast};
 use datawa_stream::{
-    run_workload, run_workload_sharded, EngineConfig, ScenarioGenerator, ScenarioSpec,
-    ShardedEngineConfig, UniformBaseline, Workload,
+    run_workload, EngineConfig, ScenarioGenerator, ScenarioSpec, UniformBaseline, Workload,
 };
 use std::time::Duration;
 
@@ -37,14 +26,13 @@ use std::time::Duration;
 /// ~2.9k partitions, ≤60 workers each, at 100k arrivals), the regime where
 /// partition-level parallelism pays off and the single-threaded planning
 /// share of the run is ~50 %.
-fn workload_with_arrivals(arrivals: usize) -> (ScenarioSpec, Workload) {
+fn workload_with_arrivals(arrivals: usize) -> Workload {
     let workers = (arrivals / 18).max(4);
     let mut spec = ScenarioSpec::small()
         .with_workers(workers)
         .with_tasks(arrivals - workers);
     spec.area_km = 20.0 * (arrivals as f64 / 100_000.0).sqrt();
-    let workload = UniformBaseline::new(spec).generate();
-    (spec, workload)
+    UniformBaseline::new(spec).generate()
 }
 
 fn runner(threads: usize) -> AdaptiveRunner {
@@ -65,7 +53,7 @@ fn bench_partition_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_planning/partition_pool");
     group.sample_size(1);
     for arrivals in [10_000usize, 100_000] {
-        let (_, workload) = workload_with_arrivals(arrivals);
+        let workload = workload_with_arrivals(arrivals);
         group.measurement_time(Duration::from_millis(if arrivals > 10_000 {
             2_000
         } else {
@@ -79,49 +67,11 @@ fn bench_partition_pool(c: &mut Criterion) {
                 &arrivals,
                 |bench, _| {
                     bench.iter(|| {
-                        let outcome =
-                            run_workload(&r, &workload, &[], EngineConfig::ticked(REPLAN_DT));
-                        criterion::black_box(outcome.run.assigned_tasks)
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-fn bench_sharded_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_planning/sharded_engine");
-    group.sample_size(1);
-    for arrivals in [10_000usize, 100_000] {
-        let (spec, workload) = workload_with_arrivals(arrivals);
-        let area = BoundingBox::new(
-            Location::new(0.0, 0.0),
-            Location::new(spec.area_km, spec.area_km),
-        );
-        group.measurement_time(Duration::from_millis(if arrivals > 10_000 {
-            2_000
-        } else {
-            1_000
-        }));
-        group.throughput(Throughput::Elements(workload.arrival_count() as u64));
-        for threads in [1usize, 4] {
-            let r = runner(1); // shard-level parallelism only: one planner thread per shard
-            let map = ShardMap::new(UniformGrid::new(GridSpec::new(area, 16, 16)), 4);
-            group.bench_with_input(
-                BenchmarkId::new(format!("shards4_threads{threads}"), arrivals),
-                &arrivals,
-                |bench, _| {
-                    bench.iter(|| {
-                        let outcome = run_workload_sharded(
+                        let outcome = run_workload(
                             &r,
                             &workload,
-                            &[],
-                            map.clone(),
-                            ShardedEngineConfig {
-                                engine: EngineConfig::ticked(REPLAN_DT),
-                                threads,
-                            },
+                            &mut StaticForecast::default(),
+                            EngineConfig::ticked(REPLAN_DT),
                         );
                         criterion::black_box(outcome.run.assigned_tasks)
                     });
@@ -132,5 +82,5 @@ fn bench_sharded_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_partition_pool, bench_sharded_engine);
+criterion_group!(benches, bench_partition_pool);
 criterion_main!(benches);

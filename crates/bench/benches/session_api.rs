@@ -1,10 +1,10 @@
-//! Overhead benchmarks for the session API redesign: the batch wrapper
-//! (open, ingest all, drain) versus event-by-event live ingest through a
-//! [`Session`], and the dispatch-service pump on top, at 10k and 100k
-//! arrivals. The session is the single event path now, so this pins the
-//! cost of incremental ingest and decision emission relative to preloading —
-//! the two must stay within the same order of magnitude for the service
-//! front-end to be viable at traffic scale.
+//! Overhead benchmarks for the session API redesign: the batch driver
+//! `run_workload` (open, ingest all, drain) versus event-by-event live
+//! ingest through a [`Session`], and the dispatch-service pump on top, at
+//! 10k and 100k arrivals. The session is the single event path now, so this
+//! pins the cost of incremental ingest and decision emission relative to
+//! preloading — the two must stay within the same order of magnitude for the
+//! service front-end to be viable at traffic scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datawa_assign::{AdaptiveRunner, AssignConfig, PolicyKind, StaticForecast};
@@ -42,7 +42,8 @@ fn bench_session_paths(c: &mut Criterion) {
             &arrivals,
             |bench, _| {
                 bench.iter(|| {
-                    let outcome = run_workload(&runner, &workload, &[], config);
+                    let outcome =
+                        run_workload(&runner, &workload, &mut StaticForecast::default(), config);
                     criterion::black_box(outcome.run.assigned_tasks)
                 });
             },

@@ -6,7 +6,7 @@
 //! a perf trajectory to compare against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use datawa_assign::{AdaptiveRunner, ArrivalEvent, AssignConfig, PolicyKind};
+use datawa_assign::{AdaptiveRunner, ArrivalEvent, AssignConfig, PolicyKind, StaticForecast};
 use datawa_sim::{SyntheticTrace, TraceSpec};
 use datawa_stream::{run_workload, EngineConfig, Workload};
 use std::time::Duration;
@@ -56,8 +56,12 @@ fn bench_drivers(c: &mut Criterion) {
             &arrivals,
             |bench, _| {
                 bench.iter(|| {
-                    let outcome =
-                        run_workload(&runner, &workload, &[], EngineConfig::replay_compat(64));
+                    let outcome = run_workload(
+                        &runner,
+                        &workload,
+                        &mut StaticForecast::default(),
+                        EngineConfig::replay_compat(64),
+                    );
                     criterion::black_box(outcome.run.assigned_tasks)
                 });
             },
@@ -65,16 +69,26 @@ fn bench_drivers(c: &mut Criterion) {
         // The ticked variant processes a different event count (lifecycle
         // events plus dt-dependent replan ticks); measure it once so the
         // reported events/sec uses the real total.
-        let ticked_events = run_workload(&runner, &workload, &[], EngineConfig::ticked(30.0))
-            .stats
-            .events_processed as u64;
+        let ticked_events = run_workload(
+            &runner,
+            &workload,
+            &mut StaticForecast::default(),
+            EngineConfig::ticked(30.0),
+        )
+        .stats
+        .events_processed as u64;
         group.throughput(Throughput::Elements(ticked_events));
         group.bench_with_input(
             BenchmarkId::new("stream_engine_ticked_30s", arrivals),
             &arrivals,
             |bench, _| {
                 bench.iter(|| {
-                    let outcome = run_workload(&runner, &workload, &[], EngineConfig::ticked(30.0));
+                    let outcome = run_workload(
+                        &runner,
+                        &workload,
+                        &mut StaticForecast::default(),
+                        EngineConfig::ticked(30.0),
+                    );
                     criterion::black_box(outcome.run.assigned_tasks)
                 });
             },

@@ -70,9 +70,9 @@ fn main() {
                     format!("{:.4}", outcome.run.mean_planning_seconds),
                     outcome.stats.events_processed.to_string(),
                     expired_unserved.to_string(),
-                    outcome.stats.peak_partitions.to_string(),
-                    outcome.stats.peak_partition_workers.to_string(),
-                    outcome.stats.peak_pool_occupancy.to_string(),
+                    outcome.run.peak_partitions.to_string(),
+                    outcome.run.peak_partition_workers.to_string(),
+                    outcome.run.peak_pool_occupancy.to_string(),
                 ]);
             }
         }

@@ -16,9 +16,7 @@ use datawa_predict::{
     DdgnnPredictor, DemandPredictor, GraphWaveNetPredictor, LstmPredictor, OnlineForecastConfig,
     OnlineForecaster, SeriesDataset, SeriesSpec, TrainingConfig,
 };
-use datawa_stream::{
-    builtin_scenarios, run_workload_forecast, EngineConfig, ScenarioSpec, Workload,
-};
+use datawa_stream::{builtin_scenarios, run_workload, EngineConfig, ScenarioSpec, Workload};
 use serde::Serialize;
 
 /// Knobs of the scenario-conditioned forecast evaluation.
@@ -211,11 +209,11 @@ pub fn scenario_online_vs_blind(
 
         let blind_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
         let mut blind_forecast = StaticForecast::default();
-        let blind = run_workload_forecast(&blind_runner, &workload, &mut blind_forecast, engine);
+        let blind = run_workload(&blind_runner, &workload, &mut blind_forecast, engine);
 
         let online_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DtaTp);
         let mut forecaster = scenario_online_forecaster(&workload, spec, config);
-        let online = run_workload_forecast(&online_runner, &workload, &mut forecaster, engine);
+        let online = run_workload(&online_runner, &workload, &mut forecaster, engine);
 
         rows.push(ScenarioAssignmentRow {
             scenario: scenario.name().to_string(),

@@ -1,8 +1,8 @@
 //! # datawa-lint — determinism & concurrency static analysis for DATA-WA
 //!
 //! Every layer of this workspace stakes its correctness on one invariant:
-//! planning output is bitwise identical across thread counts, shard layouts,
-//! cache on/off and metrics on/off. The runtime equivalence suites defend
+//! planning output is bitwise identical across thread counts, cache on/off
+//! and metrics on/off. The runtime equivalence suites defend
 //! that invariant only for the seeds they run; this crate defends it at the
 //! source level by scanning the workspace's Rust files for the hazard
 //! classes that historically break it:

@@ -3,7 +3,7 @@
 //! A lock-light metrics layer the rest of the workspace threads through its
 //! hot paths: atomic [`Counter`]s and [`Gauge`]s (with high-water marks),
 //! log-bucketed latency [`Histogram`]s (p50/p95/p99/max with ≤ 12.5 %
-//! relative error, mergeable across threads and shards), a scoped
+//! relative error, mergeable across threads and sessions), a scoped
 //! [`SpanTimer`], and a [`MetricsSnapshot`] that renders to JSON through the
 //! crate's own [`JsonValue`] model (the vendored serde is a marker stub, so
 //! serialization is hand-rolled here).
@@ -43,7 +43,7 @@
 //! Registration (`counter`/`gauge`/`histogram`) locks a name table and is a
 //! cold-path operation: resolve handles once at construction and keep them.
 //! Handles are `Arc`s over atomics — clones for the same name share storage,
-//! which is how per-shard sessions and worker threads aggregate without
+//! which is how per-tenant sessions and worker threads aggregate without
 //! locks.
 //!
 //! Names are dot-namespaced by owning layer: `assign.*` (planner),

@@ -13,7 +13,7 @@
 //! Registration (`counter`/`gauge`/`histogram`) takes a lock and is meant for
 //! cold paths — do it once at construction time and keep the handles. The
 //! handles themselves are lock-free `Arc`s over atomics; clones of the same
-//! name share storage, which is how threads and shards aggregate without
+//! name share storage, which is how threads and sessions aggregate without
 //! coordination.
 
 use std::collections::BTreeMap;

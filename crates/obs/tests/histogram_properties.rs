@@ -155,7 +155,7 @@ fn cross_thread_recording_equals_single_thread_total() {
 
 #[test]
 fn per_thread_histograms_merge_into_the_registered_one() {
-    // The shard pattern: each worker records into a standalone histogram and
+    // The per-thread pattern: each worker records into a standalone histogram and
     // merges it into the registry at the end.
     let reg = MetricsRegistry::new();
     let target = reg.histogram("merged");

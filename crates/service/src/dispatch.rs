@@ -365,7 +365,12 @@ mod tests {
             UniformBaseline::new(ScenarioSpec::small().with_tasks(200).with_workers(15)).generate();
         for policy in [PolicyKind::Greedy, PolicyKind::Fta, PolicyKind::Dta] {
             let r = runner(policy);
-            let batch = run_workload(&r, &workload, &[], EngineConfig::default());
+            let batch = run_workload(
+                &r,
+                &workload,
+                &mut StaticForecast::default(),
+                EngineConfig::default(),
+            );
             let mut forecast = StaticForecast::default();
             let service = DispatchService::open(
                 &r,
@@ -480,7 +485,12 @@ mod tests {
         assert!(outcome.run.assigned_tasks > 0);
         // Backpressure changes *when* decisions surface, not what is
         // decided: totals still match the unbounded batch run.
-        let batch = run_workload(&r, &workload, &[], EngineConfig::default());
+        let batch = run_workload(
+            &r,
+            &workload,
+            &mut StaticForecast::default(),
+            EngineConfig::default(),
+        );
         assert_eq!(outcome.run.assigned_tasks, batch.run.assigned_tasks);
     }
 
@@ -510,7 +520,7 @@ mod tests {
         };
         let r = AdaptiveRunner::new(AssignConfig::unit_speed(), PolicyKind::Dta);
         let config = EngineConfig::ticked(10.0);
-        let batch = run_workload(&r, &workload, &[], config);
+        let batch = run_workload(&r, &workload, &mut StaticForecast::default(), config);
         assert_eq!(batch.run.assigned_tasks, 1, "the t=20 tick plans the task");
         // A 4 s pacing step lands the clock exactly on t=20.
         let mut forecast = StaticForecast::default();

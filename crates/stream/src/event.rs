@@ -153,19 +153,11 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
-    /// The largest number of events pending at once since the last
-    /// [`EventQueue::reset_peak`].
+    /// The largest number of events pending at once since the queue was
+    /// created.
     #[inline]
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Restarts the high-water mark at the current length (the engine calls
-    /// this at the top of every run so per-run stats do not inherit an
-    /// earlier run's peak).
-    #[inline]
-    pub fn reset_peak(&mut self) {
-        self.peak_len = self.heap.len();
     }
 }
 

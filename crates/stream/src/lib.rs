@@ -40,23 +40,23 @@
 //!
 //! The engine's primary entry point is the open-loop [`Session`] API:
 //! [`Session::open`] starts a run, [`Session::ingest`] schedules events as
-//! they arrive (a live request front-end feeds this incrementally; the batch
-//! wrapper ingests a whole workload at once), [`Session::advance_to`] moves
-//! simulated time forward firing everything due, and [`Session::close`]
-//! drains the remainder and returns the [`EngineOutcome`]. Assignment
-//! decisions are not buffered until the end of the run: every dispatch (and
-//! every unserved expiration / worker departure) is emitted as a typed
-//! [`Decision`] through a pluggable [`DecisionSink`] the moment it is made —
-//! [`CollectingSink`] gathers them in memory, [`ChannelSink`] streams them to
-//! an `mpsc` consumer thread, and [`NullSink`] drops them for totals-only
-//! runs. Mid-stream, [`Session::stats`] and [`Session::snapshot`] expose the
+//! they arrive (a live request front-end feeds this incrementally;
+//! [`run_workload`] ingests a whole workload at once),
+//! [`Session::advance_to`] moves simulated time forward firing everything
+//! due, and [`Session::close`] drains the remainder and returns the
+//! [`EngineOutcome`]. Assignment decisions are not buffered until the end of
+//! the run: every dispatch (and every unserved expiration / worker
+//! departure) is emitted as a typed [`Decision`] through a pluggable
+//! [`DecisionSink`] the moment it is made — [`CollectingSink`] gathers them
+//! in memory, [`ChannelSink`] streams them to an `mpsc` consumer thread, and
+//! [`NullSink`] drops them for totals-only runs. Mid-stream, [`Session::stats`] and [`Session::snapshot`] expose the
 //! live counters and world-view sizes without stopping the run.
 //!
 //! Because the deterministic queue orders events by `(time, class, ingest
 //! order)` regardless of when they were ingested, feeding a workload
 //! event-by-event through a session — ingesting each event before advancing
-//! to its timestamp — is bit-identical to the batch [`StreamEngine::run`]
-//! wrapper (pinned by the workspace `session_equivalence` tests; see
+//! to its timestamp — is bit-identical to the batch [`run_workload`]
+//! driver (pinned by the workspace `session_equivalence` tests; see
 //! [`session`] for the exact contract around time-driven replan ticks). The
 //! long-running service loop built on top of sessions (sources, pacing,
 //! backpressure) lives in the `datawa-service` crate.
@@ -85,28 +85,18 @@
 //! ```
 //!
 //! (A compilable end-to-end example lives in the `datawa-predict` crate
-//! docs, which own the model side.) The sharded engine keeps one provider
-//! per shard — arrivals observe into the shard that owns their location —
-//! and merges the per-shard counters deterministically in ascending shard
-//! index into the aggregate `run.forecast`; [`run_workload_forecast`] and
-//! [`StreamEngine::run_with_forecast`] are the batch conveniences over the
-//! same API.
+//! docs, which own the model side.) [`run_workload`] takes a provider the
+//! same way, and the run's counters come back in `run.forecast`.
 //!
 //! ## Incremental replanning
 //!
-//! Every event the engine fires feeds the runner's
-//! [`datawa_assign::DirtySet`]: arrivals, expirations, worker lifecycle
-//! changes, replan ticks, dispatches and forecast refreshes are each
-//! recorded as the kind of invalidation they cause, and
-//! [`Session::dirty_set`] exposes the accumulated set between planning
-//! instants (the sharded engine keeps one per shard, inside each shard's
-//! session). The planner's plan cache uses content *verification* — not
-//! this tracker — as its source of truth, so dirty sets are purely
-//! diagnostic; the cache reuses a partition's previous plan only after
+//! The planner's plan cache reuses a partition's previous plan only after
 //! re-validating every member worker and its reachable tasks against the
-//! live stores (see the "Incremental replanning" section of the
-//! `datawa-assign` docs for the dirty-set rules and the fingerprint
-//! definition). `DATAWA_INCREMENTAL=off` (or
+//! live stores, so what changed between planning instants is derived from
+//! the planner's own inputs, never tracked event by event (see the
+//! "Incremental replanning" section of the `datawa-assign` docs for the
+//! invalidation rules and the fingerprint definition).
+//! `DATAWA_INCREMENTAL=off` (or
 //! [`IncrementalMode::Off`](datawa_assign::IncrementalMode) in the config)
 //! disables reuse for A/B parity runs; output is bitwise identical either
 //! way, which the `incremental_equivalence` workspace suite pins across
@@ -126,13 +116,11 @@
 //! — so one registry carries the assign-layer metrics (replan latency
 //! histogram, partition gauges, search-node counters) and the stream-layer
 //! metrics side by side; [`Session::obs_snapshot`] serialises all of it to
-//! JSON. `Session::open_with_metrics` substitutes an explicit registry.
-//! The sharded engine additionally publishes per-shard load gauges
-//! (`shard.<i>.workers` / `.tasks` / `.assigned`) and an overall
-//! `shard.load_skew_pct`. A detached registry makes every handle a no-op —
-//! no atomics touched, no clocks read — which is what lets the
-//! `obs_equivalence` workspace tests pin metrics-on runs bitwise against
-//! metrics-off runs on all four policies.
+//! JSON. `Session::open_with_metrics` substitutes an explicit registry. A
+//! detached registry makes every handle a no-op — no atomics touched, no
+//! clocks read — which is what lets the `obs_equivalence` workspace tests
+//! pin metrics-on runs bitwise against metrics-off runs on all four
+//! policies.
 //!
 //! [`MetricsRegistry`]: datawa_obs::MetricsRegistry
 //!
@@ -159,11 +147,8 @@ pub mod event;
 pub mod journal;
 pub mod scenario;
 pub mod session;
-pub mod shard;
 
-pub use engine::{
-    run_workload, run_workload_forecast, EngineConfig, EngineOutcome, EngineStats, StreamEngine,
-};
+pub use engine::{run_workload, EngineConfig, EngineOutcome, EngineStats};
 pub use event::{Event, EventQueue, ScheduledEvent};
 pub use journal::{EventJournal, JournalError, JournalRecord, SkipSink};
 pub use scenario::{
@@ -173,9 +158,6 @@ pub use scenario::{
 pub use session::{
     ChannelSink, CollectingSink, Decision, DecisionSink, IngestError, NullSink, Session,
     SessionSnapshot,
-};
-pub use shard::{
-    run_workload_sharded, ShardRouting, ShardedEngineConfig, ShardedOutcome, ShardedStreamEngine,
 };
 
 // The forecast API surface, re-exported from the consumer layer so session
@@ -216,7 +198,7 @@ mod tests {
         let outcome = run_workload(
             &runner(PolicyKind::Dta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::default(),
         );
         assert_eq!(outcome.run.assigned_tasks, 2);
@@ -239,7 +221,7 @@ mod tests {
         let outcome = run_workload(
             &runner(PolicyKind::Dta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::ticked(11.0),
         );
         assert_eq!(outcome.run.assigned_tasks, 0);
@@ -258,7 +240,7 @@ mod tests {
         let outcome = run_workload(
             &runner(PolicyKind::Dta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::ticked(2.0),
         );
         assert_eq!(outcome.run.assigned_tasks, 1);
@@ -283,13 +265,13 @@ mod tests {
         let released = run_workload(
             &runner(PolicyKind::Fta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::default(),
         );
         let compat = run_workload(
             &runner(PolicyKind::Fta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::replay_compat(1),
         );
         assert_eq!(released.run.assigned_tasks, 2, "B released and re-served");
@@ -306,13 +288,13 @@ mod tests {
         let per_arrival = run_workload(
             &runner(PolicyKind::Greedy),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::default(),
         );
         let batched = run_workload(
             &runner(PolicyKind::Greedy),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::batched(16),
         );
         assert!(batched.run.planning_calls < per_arrival.run.planning_calls);
@@ -327,13 +309,13 @@ mod tests {
         let a = run_workload(
             &runner(PolicyKind::Dta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::default(),
         );
         let b = run_workload(
             &runner(PolicyKind::Dta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::default(),
         );
         assert_eq!(a.run.assigned_tasks, b.run.assigned_tasks);
@@ -356,7 +338,7 @@ mod tests {
         let outcome = run_workload(
             &runner(PolicyKind::Dta),
             &workload,
-            &[],
+            &mut StaticForecast::default(),
             EngineConfig::default(),
         );
         assert_eq!(outcome.run.assigned_tasks, 2);
@@ -368,31 +350,16 @@ mod tests {
     #[should_panic(expected = "replan_interval")]
     fn zero_tick_interval_is_rejected() {
         // A tick that does not advance time would re-arm at the queue head
-        // forever; the constructor must refuse it.
-        let _ = StreamEngine::new(EngineConfig {
-            replan_interval: Some(0.0),
-            ..EngineConfig::default()
-        });
-    }
-
-    #[test]
-    fn peak_queue_len_resets_between_runs() {
-        let big = UniformBaseline::new(ScenarioSpec::small().with_tasks(300)).generate();
-        let tiny = Workload {
-            workers: vec![worker(0.0, 0.0, 0.0, 100.0, 5.0)],
-            tasks: vec![task(1.0, 0.0, 1.0, 50.0)],
-        };
-        let r = runner(PolicyKind::Greedy);
-        let mut engine = StreamEngine::new(EngineConfig::default());
-        engine.load(&big);
-        let first = engine.run(&r, &[]);
-        engine.load(&tiny);
-        let second = engine.run(&r, &[]);
-        assert!(first.stats.peak_queue_len >= 300);
-        assert!(
-            second.stats.peak_queue_len <= 4,
-            "second run inherited the first run's peak: {}",
-            second.stats.peak_queue_len
+        // forever; opening the session must refuse it.
+        let r = runner(PolicyKind::Dta);
+        let mut forecast = StaticForecast::default();
+        let _ = Session::open(
+            &r,
+            &mut forecast,
+            EngineConfig {
+                replan_interval: Some(0.0),
+                ..EngineConfig::default()
+            },
         );
     }
 
@@ -404,7 +371,7 @@ mod tests {
             let outcome = run_workload(
                 &runner(PolicyKind::Greedy),
                 &workload,
-                &[],
+                &mut StaticForecast::default(),
                 EngineConfig::default(),
             );
             assert!(

@@ -8,13 +8,13 @@
 //! increments ([`Session::advance_to`]), inspects the live state mid-stream
 //! ([`Session::stats`] / [`Session::snapshot`]) and receives every
 //! assignment decision *as it is made* through a pluggable [`DecisionSink`].
-//! Batch [`StreamEngine::run`](crate::StreamEngine::run) is now a thin
-//! wrapper over this type: open, ingest everything, drain.
+//! The batch driver [`run_workload`](crate::run_workload) is a thin wrapper
+//! over this type: open, ingest everything, drain.
 //!
 //! Determinism is inherited from the [`EventQueue`]: pending events fire in
 //! `(time, class, ingest order)` order regardless of ingest granularity.
 //! Feeding a workload event-by-event therefore produces bit-identical
-//! outcomes to the batch wrapper (pinned by the workspace
+//! outcomes to the batch driver (pinned by the workspace
 //! `session_equivalence` tests) *provided each event is ingested before the
 //! session advances to its timestamp*. Ingesting at exactly the watermark is
 //! allowed — but under a time-driven replan interval, a tick due at that
@@ -23,7 +23,7 @@
 //! `datawa-service` sources) keep every advance strictly before the next
 //! arrival's timestamp.
 
-use crate::engine::{arrival_triggers_replan, EngineConfig, EngineOutcome, EngineStats};
+use crate::engine::{EngineConfig, EngineOutcome, EngineStats};
 use crate::event::{Event, EventQueue, ScheduledEvent};
 use crate::journal::{EventJournal, JournalError, JournalRecord};
 use crate::scenario::Workload;
@@ -300,10 +300,10 @@ pub struct SessionSnapshot {
 /// let outcome = session.close(&mut sink);
 /// assert_eq!(outcome.run.assigned_tasks, 1);
 /// ```
-pub struct Session<'a, F: ForecastProvider + ?Sized = dyn ForecastProvider + 'a> {
+pub struct Session<'a> {
     config: EngineConfig,
     queue: EventQueue,
-    state: RunnerState<'a, F>,
+    state: RunnerState<'a>,
     stats: EngineStats,
     arrivals_seen: usize,
     watermark: Timestamp,
@@ -347,7 +347,7 @@ impl StreamMetrics {
     }
 }
 
-impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
+impl<'a> Session<'a> {
     /// Opens a session over `runner`.
     ///
     /// `forecast` is the session's demand-prediction source: every task
@@ -359,14 +359,15 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     /// `OnlineForecaster` (from `datawa-predict`) for live re-forecasting.
     ///
     /// Panics on a non-positive or non-finite
-    /// [`EngineConfig::replan_interval`] for the same reason
-    /// [`StreamEngine::new`](crate::StreamEngine::new) does.
+    /// [`EngineConfig::replan_interval`]: a tick that does not advance
+    /// simulated time would re-arm itself at the head of the queue forever
+    /// and the session would never drain.
     #[must_use]
     pub fn open(
         runner: &'a AdaptiveRunner,
-        forecast: &'a mut F,
+        forecast: &'a mut dyn ForecastProvider,
         config: EngineConfig,
-    ) -> Session<'a, F> {
+    ) -> Session<'a> {
         let registry = runner.metrics().clone();
         Session::open_with_metrics(runner, forecast, config, &registry)
     }
@@ -382,10 +383,10 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     #[must_use]
     pub fn open_with_metrics(
         runner: &'a AdaptiveRunner,
-        forecast: &'a mut F,
+        forecast: &'a mut dyn ForecastProvider,
         config: EngineConfig,
         registry: &MetricsRegistry,
-    ) -> Session<'a, F> {
+    ) -> Session<'a> {
         if let Some(dt) = config.replan_interval {
             assert!(
                 dt.is_finite() && dt > 0.0,
@@ -439,11 +440,11 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     /// `ingest`) surfaces as [`JournalError::Replay`].
     pub fn recover(
         runner: &'a AdaptiveRunner,
-        forecast: &'a mut F,
+        forecast: &'a mut dyn ForecastProvider,
         config: EngineConfig,
         journal: EventJournal,
         sink: &mut dyn DecisionSink,
-    ) -> Result<Session<'a, F>, JournalError> {
+    ) -> Result<Session<'a>, JournalError> {
         let records = journal.recovered_records()?;
         let mut session = Session::open(runner, forecast, config);
         for record in records {
@@ -523,28 +524,15 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         self.state.forecast_stats()
     }
 
-    /// Number of candidate open tasks currently tracked (the demand signal
-    /// the sharded engine uses for boundary hand-offs).
-    #[inline]
-    pub fn open_candidates(&self) -> usize {
-        self.state.open_candidates()
-    }
-
-    /// The events recorded since the session's last planning instant (the
-    /// diagnostic side of incremental replanning; see
-    /// [`datawa_assign::DirtySet`]). Each shard of the sharded engine owns
-    /// its own session and therefore its own per-shard dirty set.
-    #[inline]
-    pub fn dirty_set(&self) -> &datawa_assign::DirtySet {
-        self.state.dirty_set()
-    }
-
     /// Schedules one event. Arrival events may be ingested at any time at or
     /// after the watermark; their lifetime-closing events
     /// ([`Event::TaskExpiration`] / [`Event::WorkerOffline`]) are scheduled
     /// automatically when the arrival fires. An explicitly ingested
     /// [`Event::ReplanTick`] forces a one-shot re-plan at its time (it does
-    /// not re-arm).
+    /// not re-arm) — for example when an external controller detects demand
+    /// drift: `ingest(now, Event::ReplanTick)` followed by `advance_to(now)`
+    /// plans immediately, and because both calls are journaled, a recovered
+    /// session replays the forced re-plan too.
     pub fn ingest(&mut self, time: Timestamp, event: Event) -> Result<(), IngestError> {
         if !time.is_finite() {
             return Err(IngestError::NonFiniteTime { time });
@@ -623,18 +611,6 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         processed
     }
 
-    /// Forces an immediate re-plan at `now` (outside the tick chain), for
-    /// example when an external controller detects demand drift. Counts
-    /// toward the outcome's planning statistics but not toward the queue's
-    /// event counters.
-    pub fn force_replan(&mut self, now: Timestamp, sink: &mut dyn DecisionSink) {
-        self.state.step(now, true);
-        self.emit_dispatches(sink);
-        if now.0 > self.watermark.0 {
-            self.watermark = now;
-        }
-    }
-
     /// Closes the session: drains every remaining event (and the tick chain,
     /// which dies with the queue), emits the final decisions to `sink` and
     /// returns the combined outcome.
@@ -642,12 +618,8 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
     pub fn close(mut self, sink: &mut dyn DecisionSink) -> EngineOutcome {
         self.advance_to(Timestamp(f64::INFINITY), sink);
         self.stats.peak_queue_len = self.queue.peak_len();
-        let run = self.state.finish();
-        self.stats.peak_partitions = run.peak_partitions;
-        self.stats.peak_partition_workers = run.peak_partition_workers;
-        self.stats.peak_pool_occupancy = run.peak_pool_occupancy;
         EngineOutcome {
-            run,
+            run: self.state.finish(),
             stats: self.stats,
         }
     }
@@ -697,8 +669,7 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
                 if off.is_finite() {
                     self.queue.push(off, Event::WorkerOffline(wid));
                 }
-                let replan = arrival_triggers_replan(&self.config, self.arrivals_seen);
-                self.arrivals_seen += 1;
+                let replan = self.arrival_triggers_replan();
                 self.state.step(now, replan);
                 self.emit_dispatches(sink);
             }
@@ -712,8 +683,7 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
                 if expiration.is_finite() {
                     self.queue.push(expiration, Event::TaskExpiration(tid));
                 }
-                let replan = arrival_triggers_replan(&self.config, self.arrivals_seen);
-                self.arrivals_seen += 1;
+                let replan = self.arrival_triggers_replan();
                 self.state.step(now, replan);
                 self.emit_dispatches(sink);
             }
@@ -746,6 +716,16 @@ impl<'a, F: ForecastProvider + ?Sized> Session<'a, F> {
         // Arrivals push lifetime-closing events; keep the depth gauge (and
         // its high-water mark) tracking the post-event queue.
         self.metrics.queue_depth.set(self.queue.len() as i64);
+    }
+
+    /// Whether the next arrival triggers an event-batched re-plan (every
+    /// `replan_every_events`-th arrival, counting from the first), and
+    /// counts it.
+    fn arrival_triggers_replan(&mut self) -> bool {
+        let n = self.config.replan_every_events;
+        let seen = self.arrivals_seen;
+        self.arrivals_seen += 1;
+        n > 0 && seen.is_multiple_of(n)
     }
 
     fn emit_dispatches(&mut self, sink: &mut dyn DecisionSink) {

@@ -57,13 +57,13 @@ pub use datawa_tensor as tensor;
 /// One-stop imports for examples and downstream binaries.
 pub mod prelude {
     pub use datawa_assign::{
-        AdaptiveRunner, ArrivalEvent, AssignConfig, DirtySet, DispatchRecord, ForecastProvider,
+        AdaptiveRunner, ArrivalEvent, AssignConfig, DispatchRecord, ForecastProvider,
         ForecastStats, IncrementalContext, IncrementalMode, Planner, PolicyKind,
         PredictedTaskInput, RunnerState, SearchMode, StaticForecast, TaskValueFunction,
         TvfInference,
     };
     pub use datawa_core::prelude::*;
-    pub use datawa_geo::{GridSpec, ShardId, ShardMap, SpatialIndex, UniformGrid};
+    pub use datawa_geo::{GridSpec, SpatialIndex, UniformGrid};
     pub use datawa_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SpanTimer};
     pub use datawa_predict::{
         DdgnnPredictor, DemandPredictor, GraphWaveNetPredictor, LstmPredictor,
@@ -80,11 +80,10 @@ pub mod prelude {
         train_tvf_on_prefix, PipelineConfig, SyntheticTrace, TraceSpec,
     };
     pub use datawa_stream::{
-        builtin_scenarios, run_workload, run_workload_sharded, ChannelSink, CollectingSink,
-        Decision, DecisionSink, EngineConfig, EngineOutcome, Event, EventQueue, HeavyTailedChurn,
-        HotspotDrift, IngestError, NullSink, RushHourBurst, ScenarioGenerator, ScenarioSpec,
-        Session, SessionSnapshot, ShardedEngineConfig, ShardedStreamEngine, StreamEngine,
-        UniformBaseline, Workload,
+        builtin_scenarios, run_workload, ChannelSink, CollectingSink, Decision, DecisionSink,
+        EngineConfig, EngineOutcome, Event, EventQueue, HeavyTailedChurn, HotspotDrift,
+        IngestError, NullSink, RushHourBurst, ScenarioGenerator, ScenarioSpec, Session,
+        SessionSnapshot, UniformBaseline, Workload,
     };
 }
 

@@ -33,8 +33,9 @@ fn runner(policy: PolicyKind) -> AdaptiveRunner {
     }
 }
 
-/// The journaled command stream every driver below applies: ingest each
-/// arrival, then advance to its instant — what a live front-end does.
+/// The workload's arrivals in ingest order. Every driver below applies a
+/// command by ingesting it, then advancing to its instant — what a live
+/// front-end does.
 fn commands(workload: &Workload) -> Vec<(Timestamp, Event)> {
     let mut source = WorkloadSource::new(workload);
     let mut out = Vec::new();
@@ -44,8 +45,27 @@ fn commands(workload: &Workload) -> Vec<(Timestamp, Event)> {
     out
 }
 
-/// Runs the full command stream uninterrupted (journaling along the way)
-/// and returns the outcome, the decision stream, and the journal bytes.
+/// An explicit replan tick follows every `TICK_EVERY`-th arrival.
+const TICK_EVERY: usize = 7;
+
+/// [`commands`] with an explicitly ingested [`Event::ReplanTick`] at the
+/// instant of every `TICK_EVERY`-th arrival: `ingest(now, ReplanTick)` then
+/// `advance_to(now)` is how a controller forces a re-plan, and both calls
+/// are journaled, so recovery must replay the forced re-plan too.
+fn commands_with_ticks(workload: &Workload) -> Vec<(Timestamp, Event)> {
+    let mut out = Vec::new();
+    for (i, (time, event)) in commands(workload).into_iter().enumerate() {
+        out.push((time, event));
+        if (i + 1) % TICK_EVERY == 0 {
+            out.push((time, Event::ReplanTick));
+        }
+    }
+    out
+}
+
+/// Runs the full command stream, explicit replan ticks included,
+/// uninterrupted (journaling along the way) and returns the outcome, the
+/// decision stream, and the journal bytes.
 fn uninterrupted(
     policy: PolicyKind,
     workload: &Workload,
@@ -55,7 +75,7 @@ fn uninterrupted(
     let mut session = Session::open(&r, &mut forecast, EngineConfig::default());
     session.attach_journal(EventJournal::in_memory());
     let mut sink = CollectingSink::new();
-    for (time, event) in commands(workload) {
+    for (time, event) in commands_with_ticks(workload) {
         session.ingest(time, event).expect("replay order is valid");
         session.advance_to(time, &mut sink);
     }
@@ -79,7 +99,7 @@ fn crashed_and_recovered(
 ) -> (EngineOutcome, Vec<Decision>) {
     let journal = EventJournal::in_memory();
     let r = runner(policy);
-    let cmds = commands(workload);
+    let cmds = commands_with_ticks(workload);
     let crash_after = crash_after.min(cmds.len());
 
     // First incarnation: journal attached, dies after `crash_after` commands.
@@ -133,7 +153,8 @@ proptest! {
 
     /// Crash → journal recovery is invisible: for every policy on every
     /// generator, a session killed after a proptest-chosen number of
-    /// commands and rebuilt from its journal produces the same assignments,
+    /// commands (arrivals and explicitly ingested replan ticks) and rebuilt
+    /// from its journal produces the same assignments,
     /// per-worker counts, planning calls, engine counters and the same
     /// client-visible decision stream (no loss, no duplicate) as the run
     /// that never crashed.
@@ -142,7 +163,7 @@ proptest! {
         let spec = ScenarioSpec::small().with_tasks(60).with_workers(8);
         for scenario in builtin_scenarios(spec) {
             let workload = scenario.generate();
-            let n_cmds = commands(&workload).len();
+            let n_cmds = commands_with_ticks(&workload).len();
             let crash_after = ((n_cmds as f64) * crash_frac) as usize;
             for policy in POLICIES {
                 let label = format!(

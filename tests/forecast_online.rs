@@ -85,12 +85,7 @@ fn online_ddgnn_data_wa_beats_prediction_blind_dta_under_hotspot_drift() {
     // Baseline: prediction-blind DTA (exact re-planning, no forecasts).
     let blind_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
     let mut blind_forecast = StaticForecast::default();
-    let blind = datawa::stream::run_workload_forecast(
-        &blind_runner,
-        &workload,
-        &mut blind_forecast,
-        engine,
-    );
+    let blind = datawa::stream::run_workload(&blind_runner, &workload, &mut blind_forecast, engine);
 
     // The full DATA-WA method, forecast-fed: TVF-guided search, predictions
     // from a DDGNN trained on the chronological prefix of the scenario's own
@@ -98,8 +93,7 @@ fn online_ddgnn_data_wa_beats_prediction_blind_dta_under_hotspot_drift() {
     let online_runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::DataWa)
         .with_tvf(train_tvf_on_workload_prefix(&workload, spec));
     let mut forecaster = scenario_online_forecaster(&workload, spec, &config);
-    let online =
-        datawa::stream::run_workload_forecast(&online_runner, &workload, &mut forecaster, engine);
+    let online = datawa::stream::run_workload(&online_runner, &workload, &mut forecaster, engine);
 
     assert!(
         online.run.forecast.refreshes > 10,

@@ -25,7 +25,12 @@ fn outcome(
         // Identical (seeded) TVF on both sides keeps the comparison exact.
         runner = runner.with_tvf(TaskValueFunction::new(8, 7));
     }
-    run_workload(&runner, workload, &[], EngineConfig::batched(8))
+    run_workload(
+        &runner,
+        workload,
+        &mut StaticForecast::default(),
+        EngineConfig::batched(8),
+    )
 }
 
 /// Cache-on and cache-off runs must agree task for task, worker for worker,
@@ -109,13 +114,13 @@ fn prediction_policies_stay_equivalent() {
         let on = run_workload(
             &AdaptiveRunner::new(config_on, PolicyKind::DtaTp),
             &workload,
-            &predicted,
+            &mut StaticForecast::from_slice(&predicted),
             EngineConfig::batched(8),
         );
         let off = run_workload(
             &AdaptiveRunner::new(config_off, PolicyKind::DtaTp),
             &workload,
-            &predicted,
+            &mut StaticForecast::from_slice(&predicted),
             EngineConfig::batched(8),
         );
         assert_eq!(on.run.assigned_tasks, off.run.assigned_tasks);
@@ -171,7 +176,7 @@ proptest! {
 
     /// Warm the cache at `t0`, apply exactly one world event, replan at `t1`
     /// incrementally, and diff against a cold full replan of the mutated
-    /// world: the plans must be identical — i.e. the dirty-set/verification
+    /// world: the plans must be identical — i.e. the invalidation/verification
     /// rules can never miss a partition whose plan would change.
     #[test]
     fn single_event_never_stales_the_cache(

@@ -37,8 +37,8 @@ fn batch_run_is_bitwise_identical_with_metrics_attached() {
         let on = runner(policy, observed.clone());
         let off = runner(policy, MetricsRegistry::detached());
         let config = EngineConfig::batched(8);
-        let with_metrics = run_workload(&on, &workload, &[], config);
-        let without = run_workload(&off, &workload, &[], config);
+        let with_metrics = run_workload(&on, &workload, &mut StaticForecast::default(), config);
+        let without = run_workload(&off, &workload, &mut StaticForecast::default(), config);
 
         let label = policy.name();
         assert_eq!(

@@ -1,5 +1,6 @@
-//! The determinism contract of the sharded planning refactor, pinned at the
-//! integration level: assignment totals must be identical between 1 and 4
+//! The determinism contract of the partition-parallel planner (worker
+//! dependency separation split into independent partitions and searched on
+//! the planner pool), pinned at the integration level: assignment totals must be identical between 1 and 4
 //! planner threads for Greedy, FTA, DTA and DATA-WA on all four built-in
 //! scenario generators, and the partitioned planner must reproduce the
 //! whole-tree serial search exactly.
@@ -21,7 +22,12 @@ fn outcome_with_threads(
         // Identical (seeded) TVF on both sides keeps the comparison exact.
         runner = runner.with_tvf(TaskValueFunction::new(8, 7));
     }
-    run_workload(&runner, workload, &[], EngineConfig::batched(8))
+    run_workload(
+        &runner,
+        workload,
+        &mut StaticForecast::default(),
+        EngineConfig::batched(8),
+    )
 }
 
 /// 1-thread and 4-thread runs must agree task for task, worker for worker,
@@ -54,8 +60,8 @@ fn one_thread_equals_four_threads_for_all_policies_and_scenarios() {
                 scenario.name()
             );
             assert_eq!(one.run.planning_calls, four.run.planning_calls);
-            assert!(four.stats.peak_pool_occupancy <= 4);
-            assert!(one.stats.peak_pool_occupancy <= 1);
+            assert!(four.run.peak_pool_occupancy <= 4);
+            assert!(one.run.peak_pool_occupancy <= 1);
         }
     }
 }

@@ -31,7 +31,7 @@ fn run_event_by_event(
     let mut sink = ChannelSink::new(tx);
     let mut forecast = StaticForecast::default();
     let mut session = Session::open(&r, &mut forecast, config);
-    // WorkloadSource hands out arrivals in the engine queue's deterministic
+    // WorkloadSource hands out arrivals in the event queue's deterministic
     // order (time, workers-before-tasks, FIFO).
     let mut source = WorkloadSource::new(workload);
     while let SourcePoll::Ready(time, event) = source.poll() {
@@ -60,7 +60,12 @@ fn session_ingest_equals_batch_run_for_all_policies_and_scenarios() {
             PolicyKind::Dta,
             PolicyKind::DataWa,
         ] {
-            let batch = run_workload(&runner(policy), &workload, &[], EngineConfig::default());
+            let batch = run_workload(
+                &runner(policy),
+                &workload,
+                &mut StaticForecast::default(),
+                EngineConfig::default(),
+            );
             let (live, decisions) = run_event_by_event(&workload, policy, EngineConfig::default());
 
             let label = format!("{} on {}", policy.name(), scenario.name());
@@ -125,7 +130,12 @@ fn session_ingest_equals_batch_run_with_predicted_tasks() {
     assert!(!predicted.is_empty());
 
     let r = runner(PolicyKind::DtaTp);
-    let batch = run_workload(&r, &workload, &predicted, EngineConfig::default());
+    let batch = run_workload(
+        &r,
+        &workload,
+        &mut StaticForecast::from_slice(&predicted),
+        EngineConfig::default(),
+    );
 
     let mut sink = CollectingSink::new();
     let mut forecast = StaticForecast::from_slice(&predicted);
@@ -151,7 +161,7 @@ fn chunked_advance_equals_batch_run_under_time_driven_planning() {
     let workload = HotspotDrift::new(spec).generate();
     let config = EngineConfig::ticked(45.0);
     let r = runner(PolicyKind::Dta);
-    let batch = run_workload(&r, &workload, &[], config);
+    let batch = run_workload(&r, &workload, &mut StaticForecast::default(), config);
 
     let mut sink = CollectingSink::new();
     let mut forecast = StaticForecast::default();
@@ -168,37 +178,4 @@ fn chunked_advance_equals_batch_run_under_time_driven_planning() {
     assert_eq!(live.run.per_worker, batch.run.per_worker);
     assert_eq!(live.run.planning_calls, batch.run.planning_calls);
     assert_eq!(live.stats.replan_ticks, batch.stats.replan_ticks);
-}
-
-/// The sharded engine, now session-per-shard internally, still reproduces
-/// the unsharded engine exactly with a single shard (spot-check on top of
-/// the unchanged sharding suite).
-#[test]
-fn single_shard_session_engine_still_matches_unsharded() {
-    use datawa::core::location::BoundingBox;
-    use datawa::geo::GridSpec;
-
-    let spec = ScenarioSpec::small().with_tasks(150).with_workers(12);
-    let workload = RushHourBurst::new(spec).generate();
-    let area = BoundingBox::new(
-        Location::new(0.0, 0.0),
-        Location::new(spec.area_km, spec.area_km),
-    );
-    let map = ShardMap::new(UniformGrid::new(GridSpec::new(area, 8, 8)), 1);
-    let plain = run_workload(
-        &runner(PolicyKind::Dta),
-        &workload,
-        &[],
-        EngineConfig::default(),
-    );
-    let sharded = run_workload_sharded(
-        &runner(PolicyKind::Dta),
-        &workload,
-        &[],
-        map,
-        ShardedEngineConfig::default(),
-    );
-    assert_eq!(sharded.run.assigned_tasks, plain.run.assigned_tasks);
-    assert_eq!(sharded.per_shard[0].per_worker, plain.run.per_worker);
-    assert_eq!(sharded.run.planning_calls, plain.run.planning_calls);
 }

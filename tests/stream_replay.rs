@@ -74,7 +74,7 @@ fn engine_replay_equals_legacy_loop_for_data_wa() {
     assert_eq!(engine.assigned_tasks, legacy.assigned_tasks);
 }
 
-/// Direct engine use through the facade: load the replay workload, run, and
+/// Direct session use through the facade: ingest the replay workload, drain, and
 /// check the lifecycle accounting (every arrival schedules exactly one
 /// lifetime-closing event).
 #[test]
@@ -82,10 +82,13 @@ fn engine_lifecycle_accounting_is_complete() {
     let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.02));
     let workload = trace.workload();
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Greedy);
-    let mut engine = StreamEngine::new(EngineConfig::default());
-    engine.load(&workload);
-    assert_eq!(engine.pending(), workload.arrival_count());
-    let outcome = engine.run(&runner, &[]);
+    let mut forecast = StaticForecast::default();
+    let mut session = Session::open(&runner, &mut forecast, EngineConfig::default());
+    session.ingest_workload(&workload).unwrap();
+    assert_eq!(session.pending(), workload.arrival_count());
+    session.advance_to(Timestamp(f64::INFINITY), &mut NullSink);
+    assert_eq!(session.pending(), 0);
+    let outcome = session.close(&mut NullSink);
     assert_eq!(outcome.stats.arrivals, workload.arrival_count());
     assert_eq!(outcome.stats.expirations, workload.tasks.len());
     assert_eq!(outcome.stats.offline, workload.workers.len());
@@ -93,7 +96,6 @@ fn engine_lifecycle_accounting_is_complete() {
         outcome.stats.events_processed,
         workload.arrival_count() + workload.tasks.len() + workload.workers.len()
     );
-    assert_eq!(engine.pending(), 0);
 }
 
 /// Time-driven batching produces far fewer planning calls than per-arrival
@@ -102,8 +104,18 @@ fn engine_lifecycle_accounting_is_complete() {
 fn time_batched_replanning_cuts_planning_calls() {
     let trace = SyntheticTrace::generate(TraceSpec::yueche().scaled(0.02));
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Greedy);
-    let per_arrival = run_workload(&runner, &trace.workload(), &[], EngineConfig::default());
-    let ticked = run_workload(&runner, &trace.workload(), &[], EngineConfig::ticked(60.0));
+    let per_arrival = run_workload(
+        &runner,
+        &trace.workload(),
+        &mut StaticForecast::default(),
+        EngineConfig::default(),
+    );
+    let ticked = run_workload(
+        &runner,
+        &trace.workload(),
+        &mut StaticForecast::default(),
+        EngineConfig::ticked(60.0),
+    );
     assert!(ticked.run.planning_calls < per_arrival.run.planning_calls / 2);
     assert!(ticked.run.assigned_tasks > 0);
 }
@@ -116,7 +128,12 @@ fn builtin_scenarios_run_through_the_facade() {
     let runner = AdaptiveRunner::new(AssignConfig::default(), PolicyKind::Dta);
     let mut names = Vec::new();
     for scenario in builtin_scenarios(spec) {
-        let outcome = run_workload(&runner, &scenario.generate(), &[], EngineConfig::default());
+        let outcome = run_workload(
+            &runner,
+            &scenario.generate(),
+            &mut StaticForecast::default(),
+            EngineConfig::default(),
+        );
         assert!(outcome.run.assigned_tasks > 0, "{}", scenario.name());
         names.push(scenario.name());
     }
